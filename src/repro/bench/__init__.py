@@ -1,4 +1,9 @@
-"""Benchmark harness regenerating the paper's evaluation figures."""
+"""Benchmark harness regenerating the paper's evaluation figures.
+
+The figure runners live in :mod:`repro.bench.figures`; the package does
+not import that module, so ``python -m repro.bench.figures`` runs it
+fresh (runpy warns when the package has already loaded it).
+"""
 
 from repro.bench.configs import (
     FIGURE8_THREADS,
@@ -9,15 +14,6 @@ from repro.bench.configs import (
     figure_spec,
     uncached,
 )
-from repro.bench.figures import (
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_recovery_matrix,
-    run_ret_ablation,
-    run_size_sensitivity,
-)
 
 __all__ = [
     "FIGURE8_THREADS",
@@ -27,11 +23,4 @@ __all__ = [
     "all_figure_specs",
     "figure_spec",
     "uncached",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8",
-    "run_recovery_matrix",
-    "run_ret_ablation",
-    "run_size_sensitivity",
 ]

@@ -25,7 +25,9 @@ regression dashboard:
     true; any flip to false is a regression regardless of thresholds;
   - **exact** (other numerics, e.g. deterministic makespans) — any
     increase is a regression, any decrease an improvement (the
-    simulator is deterministic, so these carry no noise);
+    simulator is deterministic, so these carry no noise); the
+    ``recovered`` crash-campaign counts run the other way, so a drop
+    regresses;
   - **info** (``suite.*``, ``cpu_count``, ``workers``, ...) — shown
     but never gated.
 
@@ -80,8 +82,8 @@ INFO_MARKERS = ("suite.", "spec.", "cpu_count", "workers", "jobs",
                 # shards — scheduling happenstance, never gated. The
                 # gated service metrics are ``identical_aggregate``
                 # (contract) and ``reexecutions`` (exact zero).
-                "recovered", "steals", "killed_after", "killed_worker",
-                "done_at_kill", "published_entries",
+                "recovered_leases", "steals", "killed_after",
+                "killed_worker", "done_at_kill", "published_entries",
                 # The shared-cache warm start is gated by its exact
                 # zero-execution count; its few-ms wall time would
                 # flake any percentage tolerance.
@@ -94,6 +96,12 @@ INFO_MARKERS = ("suite.", "spec.", "cpu_count", "workers", "jobs",
 #: latency-percentile name can never be confused with (or cross-gated
 #: against) a wall-clock ``*_seconds`` timing name.
 LATENCY_MARKERS = ("p50", "p90", "p99", "p999", "rto", "latency")
+
+#: Exact metrics where more is better, so a drop regresses: the KV
+#: crash campaign's ``recovery.recovered`` count and
+#: ``recovery.recovered_fraction`` (a crash point that stops
+#: recovering is a correctness regression, never an improvement).
+EXACT_HIGHER_MARKERS = ("recovered",)
 
 
 def flatten(data: object, prefix: str = "") -> Dict[str, Scalar]:
@@ -188,7 +196,8 @@ def compare_metric(name: str, kind: str,
     base = float(baseline)   # type: ignore[arg-type]
     cur = float(current)     # type: ignore[arg-type]
     change = _relative_change(base, cur)
-    if kind == "quality":
+    if kind == "quality" or (kind == "exact" and any(
+            marker in name.lower() for marker in EXACT_HIGHER_MARKERS)):
         change = -change     # higher is better -> invert the sign
     if kind == "exact":
         if change > 0:

@@ -24,22 +24,29 @@ doing neither, by exploiting two structural facts:
   — writes, RMWs, misses, upgrades — funnels into the same
   ``Machine`` methods the reference path uses.
 
-The engine accepts exactly one observation channel: an Observer
-carrying metrics (and optionally a timeline and/or request spans) —
-metric aggregates are accumulated in the flat tables of
-:class:`repro.obs.fastobs.FastObs` and flushed at run end, reconciling
-counter-for-counter with the reference loop, while request-boundary
-clocks append straight into the :class:`repro.obs.spans.SpanTracker`
-lanes. Everything else still forces the reference path:
-schedule nudges, op tracing, provenance, and the tests' ``max_ops``
-valve. :func:`check` names the refusal (a :class:`Refusal` enum,
-surfaced as the ``fastsim_fallback`` diagnostic on results and
-printable with ``REPRO_FASTSIM_DEBUG=1``); fuzz replays therefore
-always take the reference min-scan loop, and the fast-vs-reference
-equivalence matrix (tests/test_fastsim.py, tests/test_fastobs.py)
-pins that both paths agree on stats, persist streams, coverage maps
-and the full obs export. Set ``REPRO_FASTSIM=0`` to force the
-reference loop everywhere.
+The engine runs what the fuzzer and the provenance tools ask for:
+
+* **Schedule nudges** (:meth:`Scheduler.set_nudges`). A nudged
+  decision index ends the running quantum (it shares the heartbeat's
+  op-count threshold, so an un-nudged run pays nothing per op); the
+  loop top then runs the rank-th smallest heap key for exactly one op.
+* **Observers.** Metric aggregates (and an optional timeline) are
+  accumulated in the flat tables of :class:`repro.obs.fastobs.FastObs`
+  and flushed at run end, reconciling counter-for-counter with the
+  reference loop; request-boundary clocks append straight into the
+  :class:`repro.obs.spans.SpanTracker` lanes; with provenance on, the
+  op's site is narrated before every path that can reach a mechanism
+  hook (inline read hits cannot note a store, persist or stall).
+
+Op tracing, observer objects without the Observer surface and the
+tests' ``max_ops`` valve still force the reference loop.
+:func:`check` names the refusal (a :class:`Refusal` enum, surfaced as
+the ``fastsim_fallback`` diagnostic on results and printable with
+``REPRO_FASTSIM_DEBUG=1``). The fast-vs-reference equivalence matrix
+(tests/test_fastsim.py, tests/test_fastobs.py) pins that both paths
+agree on stats, persist streams, coverage maps and the full obs
+export, nudged or not. Set ``REPRO_FASTSIM=0`` to force the reference
+loop everywhere.
 """
 
 from __future__ import annotations
@@ -68,7 +75,10 @@ _READ = OpKind.READ
 _WRITE = OpKind.WRITE
 _ACQUIRE = MemOrder.ACQUIRE
 _ACQ_REL = MemOrder.ACQ_REL
-_NEVER = float("inf")
+#: "Never" for op counts and heap keys: an int, so the per-op and
+#: per-quantum threshold tests stay int-to-int compares (a key or op
+#: count never gets near 2**62).
+_NEVER = 1 << 62
 
 #: Progress callback ``(executed_ops, current_clock)`` invoked every
 #: :data:`HEARTBEAT_OPS` executed ops. Installed by
@@ -94,21 +104,18 @@ class Refusal(enum.Enum):
     """
 
     ENV_DISABLED = "env-disabled"
-    SCHEDULE_NUDGES = "schedule-nudges"
     MAX_OPS = "max-ops"
     OBSERVER_TRACE = "observer-trace"
-    OBSERVER_PROVENANCE = "observer-provenance"
     OBSERVER_UNKNOWN = "observer-unknown"
 
 
 def check(scheduler) -> Optional[Refusal]:
     """Why the batch engine must refuse this run — None when eligible.
 
-    Metrics/timeline/spans observers are accepted (FastObs batches
-    the aggregates, span lanes are plain appends); trace or provenance
-    collection — and observer objects
-    that don't expose the Observer surface at all — still force the
-    reference loop, as do schedule nudges and the ``max_ops`` valve.
+    Schedule nudges and metrics/timeline/spans/provenance observers
+    are accepted; trace collection, observer objects that don't expose
+    the Observer surface at all and the ``max_ops`` valve force the
+    reference loop.
     With ``REPRO_FASTSIM_DEBUG=1`` the refusal is printed to stderr.
     """
     refusal = _check(scheduler)
@@ -122,21 +129,16 @@ def check(scheduler) -> Optional[Refusal]:
 def _check(scheduler) -> Optional[Refusal]:
     if os.environ.get("REPRO_FASTSIM", "1") == "0":
         return Refusal.ENV_DISABLED
-    if scheduler._nudges is not None:
-        return Refusal.SCHEDULE_NUDGES
     if scheduler.max_ops is not None:
         return Refusal.MAX_OPS
     obs = scheduler.machine.obs
     if obs is None:
         return None
     trace = getattr(obs, "trace", _MISSING)
-    provenance = getattr(obs, "provenance", _MISSING)
-    if (trace is _MISSING or provenance is _MISSING
+    if (trace is _MISSING or not hasattr(obs, "provenance")
             or getattr(obs, "metrics", None) is None
             or not hasattr(obs, "timeline")):
         return Refusal.OBSERVER_UNKNOWN
-    if provenance is not None:
-        return Refusal.OBSERVER_PROVENANCE
     if trace is not None:
         return Refusal.OBSERVER_TRACE
     return None
@@ -224,6 +226,11 @@ def _run(scheduler) -> int:
     # slots) and flush into the Observer once at run end. Mechanisms
     # and the NVM controller keep their direct Observer attachment.
     obs = machine.obs
+    # Provenance narration: the op's site is set before every call
+    # that can reach a mechanism hook, exactly as Machine.execute's
+    # begin_op does; inline read hits skip it (nothing there notes a
+    # store, persist or stall).
+    prov = obs.provenance if obs is not None else None
     if obs is not None:
         # Request spans (repro.obs.spans): raw per-thread boundary and
         # event-mark lists written directly — one identity compare and
@@ -260,9 +267,17 @@ def _run(scheduler) -> int:
     fo_heavy = False
     fast_miss, fast_upgrade = machine.make_fast_path(fastobs=fobs)
 
+    executed = scheduler._executed_ops
     hook = PROGRESS_HOOK
-    hb_next = (scheduler._executed_ops + HEARTBEAT_OPS
-               if hook is not None else _NEVER)
+    beat_at = executed + HEARTBEAT_OPS if hook is not None else _NEVER
+    # Schedule nudges: decision index -> rank. Each nudged index ends
+    # the running quantum and is decided at the loop top; ``stop_at``
+    # folds it into the heartbeat's op-count threshold, so an
+    # un-nudged run pays no extra per-op test.
+    nudges = scheduler._nudges or {}
+    pending = sorted((i for i in nudges if i >= executed), reverse=True)
+    nudge_at = pending.pop() if pending else _NEVER
+    stop_at = min(beat_at, nudge_at)
 
     # L1 geometry is config-wide (identical across cores); the
     # per-thread containers are bundled into one tuple so a quantum
@@ -302,17 +317,21 @@ def _run(scheduler) -> int:
     heap = [(t.clock << tshift) | t.thread_id for t in threads]
     heapq.heapify(heap)
     nheap = len(heap)
-    executed = scheduler._executed_ops
     # The running thread's (stale) entry stays at heap[0] for the whole
     # quantum: a yield is then one heapreplace (single sift) instead of
     # a heappush + heappop pair, and the scheduling bound — the
     # smallest key among the *other* threads — is the smaller of the
     # root's children.
     while nheap:
-        tid = heap[0] & tmask
-        thread, gen, stats, l1, sets, codes, lru, lines = tstate[tid]
-        clock = thread.clock
-        if nheap > 2:
+        if executed == nudge_at and nudges[nudge_at] % nheap:
+            # Nudged decision: the rank-th smallest key runs exactly
+            # one op (a bound below every key). ``[chosen] + sorted
+            # rest`` is a heap everywhere below the root, which is all
+            # the heapreplace/heappop that end the op need.
+            keys = sorted(heap)
+            heap = [keys.pop(nudges[nudge_at] % nheap)] + keys
+            bound = -1
+        elif nheap > 2:
             bound = heap[1]
             b = heap[2]
             if b < bound:
@@ -323,6 +342,9 @@ def _run(scheduler) -> int:
             # Last thread standing: an unreachable bound erases the
             # yield check from its remaining ops.
             bound = _NEVER
+        tid = heap[0] & tmask
+        thread, gen, stats, l1, sets, codes, lru, lines = tstate[tid]
+        clock = thread.clock
         if fo_tl:
             # Quantum accounting is *derived*, not accumulated: op and
             # memory-op counts come from the CoreStats deltas, WORK
@@ -341,8 +363,8 @@ def _run(scheduler) -> int:
             # counts and cycle splits come from the stats/clock deltas
             # at run end.
             nb_c = tl_nbc[tid]
-            # _NEVER (last thread, float sentinel) has no shiftable
-            # clock and its quantum is unbounded anyway: heavy path.
+            # _NEVER (last thread) bounds no clock: its quantum is
+            # unbounded, so it takes the heavy path.
             fo_heavy = (clock >= nb_c or bound is _NEVER
                         or (bound >> tshift) >= nb_c)
             if fo_heavy:
@@ -426,6 +448,8 @@ def _run(scheduler) -> int:
                     stats.l1_hits += 1
                     latency = l1_hit_cycles
                 else:
+                    if prov is not None:
+                        prov.begin_op(op.site)
                     _line, latency = fast_miss(
                         tid, line_addr, clock, False, set_index)
                 if inline_reads:
@@ -439,6 +463,8 @@ def _run(scheduler) -> int:
                     if order is _ACQUIRE or order is _ACQ_REL:
                         stats.acquires += 1
                         if not acquire_noop:
+                            if prov is not None:
+                                prov.begin_op(op.site)
                             src = writer_meta.get(addr)
                             latency += on_acquire(
                                 tid, None, clock + latency,
@@ -453,6 +479,8 @@ def _run(scheduler) -> int:
                         ev_count += 1
                         result = memory_get(addr)
                     else:
+                        if prov is not None:
+                            prov.begin_op(op.site)
                         trace._count = ev_count
                         result, latency = do_read(tid, op, clock, latency)
                         ev_count = trace._count
@@ -474,6 +502,9 @@ def _run(scheduler) -> int:
                         sp_lanes[tid].append(clock)
                         sp_events[tid].append(ev_count)
             else:
+                # Every write and RMW reaches a mechanism hook.
+                if prov is not None:
+                    prov.begin_op(op.site)
                 addr = op.addr
                 line_addr = addr & line_mask
                 if set_mask is not None:
@@ -588,9 +619,15 @@ def _run(scheduler) -> int:
 
             clock += latency + compute
             executed += 1
-            if executed >= hb_next:
-                hook(executed, clock)
-                hb_next = executed + HEARTBEAT_OPS
+            if executed >= stop_at:
+                if executed >= beat_at:
+                    hook(executed, clock)
+                    beat_at = executed + HEARTBEAT_OPS
+                if executed > nudge_at:
+                    nudge_at = pending.pop() if pending else _NEVER
+                if executed == nudge_at:
+                    bound = -1  # the next decision is nudged: yield
+                stop_at = min(beat_at, nudge_at)
             key = (clock << tshift) | tid
             if key > bound:
                 # Another thread's key is now smaller: yield the core.

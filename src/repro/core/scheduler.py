@@ -72,7 +72,6 @@ class Scheduler:
         self.max_ops: Optional[int] = None   # safety valve for tests
         self._executed_ops = 0
         # Priority nudges (repro.fuzz): decision index -> runnable rank.
-        # None keeps the optimized heap path below completely untouched.
         self._nudges: Optional[Dict[int, int]] = None
         # Why the batch engine declined the last run (None = it ran).
         # Recorded by run() and surfaced as the fastsim_fallback
@@ -91,23 +90,23 @@ class Scheduler:
         executed machine-wide when the scheduler next picks a thread)
         to a *rank*: instead of the runnable thread with the smallest
         ``(clock, thread_id)`` key (rank 0), the scheduler picks the
-        rank-th smallest, modulo the number of runnable threads. Any
-        non-None value routes :meth:`run` through the slower min-scan
-        loop — which with an empty mapping executes the exact same
-        interleaving as the default heap loop (pinned by tests) — so
-        the benchmark hot path never pays for the hook.
+        rank-th smallest, modulo the number of runnable threads. A
+        thread whose coroutine turns out to be finished at a nudged
+        decision leaves the runnable set, and the same decision index
+        is decided again among the rest. Both engines honour nudges
+        (the batch engine closes a quantum at every nudged index), and
+        an empty mapping executes the exact default interleaving.
         """
         self._nudges = dict(nudges) if nudges is not None else None
 
     def run(self) -> int:
         """Execute until every thread finishes; returns the makespan."""
         self.fastsim_refusal = fastsim.check(self)
-        if self._nudges is not None:
-            return self._run_nudged()
         if self.fastsim_refusal is None:
             # Bit-identical batched execution (see repro.core.fastsim);
             # REPRO_FASTSIM=0 forces the reference loop below.
             return fastsim.run(self)
+        nudges = self._nudges or {}
         compute = self.machine.config.compute_cycles_per_op
         execute = self.machine.execute
         stats = self.machine.stats
@@ -118,12 +117,21 @@ class Scheduler:
         heap = [(t.clock, t.thread_id) for t in self.threads]
         heapq.heapify(heap)
         while heap:
-            _, tid = heappop(heap)
+            rank = nudges.get(self._executed_ops, 0) % len(heap)
+            if rank:
+                # Nudged decision: the rank-th smallest key runs; the
+                # smaller keys popped on the way go back unchanged.
+                passed = [heappop(heap) for _ in range(rank)]
+                _, tid = heappop(heap)
+                for entry in passed:
+                    heappush(heap, entry)
+            else:
+                _, tid = heappop(heap)
             thread = self.threads[tid]
-            if thread.done:
-                continue
             op = thread.next_op()
             if op is None:
+                # Finished: the same decision index is decided again
+                # among the threads still runnable.
                 stats[tid].cycles = thread.clock
                 continue
             if self.max_ops is not None and self._executed_ops >= self.max_ops:
@@ -170,59 +178,6 @@ class Scheduler:
         if spans is None:
             return None
         return spans.lanes(len(self.threads))
-
-    def _run_nudged(self) -> int:
-        """Min-scan execution loop honouring the installed nudges.
-
-        Selection is by ``(clock, thread_id)`` rank among runnable
-        threads — identical to the heap loop when a decision has no
-        nudge (or rank 0), and a deterministic perturbation otherwise.
-        Thread counts are tiny (<= num_cores), so the O(n) scan per
-        decision is irrelevant next to the simulated memory system.
-        """
-        nudges = self._nudges or {}
-        compute = self.machine.config.compute_cycles_per_op
-        execute = self.machine.execute
-        stats = self.machine.stats
-        obs = self.machine.obs
-        trace = self.machine.trace
-        sp = self._span_lanes(obs)
-        runnable = list(self.threads)
-        while runnable:
-            runnable.sort(key=lambda t: (t.clock, t.thread_id))
-            rank = nudges.get(self._executed_ops, 0) % len(runnable)
-            thread = runnable[rank]
-            op = thread.next_op()
-            if op is None:
-                stats[thread.thread_id].cycles = thread.clock
-                runnable.remove(thread)
-                continue
-            if self.max_ops is not None and self._executed_ops >= self.max_ops:
-                raise RuntimeError(
-                    f"scheduler exceeded max_ops={self.max_ops} — "
-                    "possible livelock in a workload")
-            tid = thread.thread_id
-            result, latency = execute(tid, op, thread.clock)
-            thread.deliver(result)
-            if obs is not None:
-                if op.kind is _WORK:
-                    obs.count(f"sched.compute_cycles.c{tid}",
-                              latency + compute)
-                    obs.tick(f"compute.c{tid}", thread.clock,
-                             latency + compute)
-                    if sp is not None and op.site is _BOUNDARY:
-                        sp[0][tid].append(thread.clock)
-                        sp[1][tid].append(trace._count)
-                else:
-                    obs.count(f"sched.compute_cycles.c{tid}", compute)
-                    obs.count(f"sched.mem_cycles.c{tid}", latency)
-                    obs.tick(f"compute.c{tid}", thread.clock, compute)
-                    obs.tick(f"mem.c{tid}", thread.clock, latency)
-                obs.span(f"core{tid}", op.kind.name, thread.clock,
-                         latency + compute, cat="op")
-            thread.clock += latency + compute
-            self._executed_ops += 1
-        return self.makespan()
 
     def makespan(self) -> int:
         """The slowest thread's final clock (run wall-time in cycles)."""

@@ -102,3 +102,25 @@ class TestSmokeRuns:
         assert "recovery" in result.render().lower()
         with pytest.raises(KeyError):
             result.outcome("hashmap", "xyz")
+
+
+def test_figures_module_entry_point_has_no_runpy_warning():
+    """``python -m repro.bench.figures`` runs without runpy's
+    "found in sys.modules" RuntimeWarning (the package must not import
+    the figures module itself)."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.bench.figures", "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+

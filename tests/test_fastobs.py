@@ -11,9 +11,9 @@ that makes that safe:
   staying on the fast path;
 * the quick-scale Figure 5 grid keeps every one of its 20 makespans
   byte-identical with telemetry on;
-* refusals stay machine-readable: trace/provenance observers fall back
-  with the right :class:`~repro.core.fastsim.Refusal` value threaded
-  onto ``SimulationResult.fastsim_fallback``, metrics/timeline
+* refusals stay machine-readable: trace observers fall back with the
+  right :class:`~repro.core.fastsim.Refusal` value threaded onto
+  ``SimulationResult.fastsim_fallback``, metrics/timeline/provenance
   observers don't fall back at all;
 * the merge arithmetic FastObs leans on — additive timeline folds,
   histogram folding including the ``clamped`` tally — cannot be told
@@ -144,15 +144,20 @@ def test_trace_observer_falls_back_with_reason(monkeypatch):
         == fastsim.Refusal.OBSERVER_TRACE.value == "observer-trace"
 
 
-def test_provenance_observer_falls_back_with_reason(monkeypatch):
+def test_provenance_observer_takes_fast_path(monkeypatch):
+    """Provenance rides the batch engine; trace collection on top of
+    it still refuses."""
     monkeypatch.setenv("REPRO_FASTSIM", "1")
     clear_setup_cache()
     result = simulate(_small_spec("hashmap"), "lrp",
                       MachineConfig(**SMALL_CONFIG),
                       observer=Observer(provenance=True))
-    assert result.fastsim_fallback \
-        == fastsim.Refusal.OBSERVER_PROVENANCE.value \
-        == "observer-provenance"
+    assert result.fastsim_fallback is None
+    result = simulate(_small_spec("hashmap"), "lrp",
+                      MachineConfig(**SMALL_CONFIG),
+                      observer=Observer(provenance=True, trace=True))
+    assert result.fastsim_fallback == "observer-trace"
+    assert not hasattr(fastsim.Refusal, "OBSERVER_PROVENANCE")
 
 
 def test_env_disabled_reason(monkeypatch):

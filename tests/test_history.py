@@ -87,6 +87,42 @@ class TestClassify:
         assert classify(name, value) == kind
 
 
+class TestRecoveredFraction:
+    """The KV crash campaign's recovered fraction is a correctness
+    metric: it gates as exact, and a drop is a regression (only the
+    job service's lease counts are informational)."""
+
+    NAME = "kv.lrp.recovery.recovered_fraction"
+
+    def test_classified_exact(self):
+        assert classify(self.NAME, 1.0) == "exact"
+        assert classify("kv.lrp.recovery.recovered", 8) == "exact"
+        assert classify("killed_run.recovered_leases", 2) == "info"
+
+    def test_drop_regresses(self):
+        assert compare_metric(self.NAME, "exact", 1.0, 0.875,
+                              NOISE_THRESHOLD).status == "regressed"
+        assert compare_metric("kv.lrp.recovery.recovered", "exact", 8, 7,
+                              NOISE_THRESHOLD).status == "regressed"
+        assert compare_metric(self.NAME, "exact", 1.0, 1.0,
+                              NOISE_THRESHOLD).status == "ok"
+
+    def test_committed_kv_baseline_gates_it(self):
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        baseline = json.loads(
+            (root / "benchmarks" / "baselines" / "BENCH_kv.json")
+            .read_text())
+        assert not compare_snapshot("BENCH_kv.json", baseline,
+                                    baseline).regressions
+        broken = json.loads(json.dumps(baseline))
+        broken["kv"]["lrp"]["recovery"]["recovered_fraction"] = 0.875
+        regressed = [d.metric for d in compare_snapshot(
+            "BENCH_kv.json", baseline, broken).regressions]
+        assert regressed == [self.NAME]
+
+
 class TestCompareMetric:
     def test_timing_within_noise_is_ok(self):
         delta = compare_metric("t_seconds", "timing", 10.0, 12.0, 0.5)

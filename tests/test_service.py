@@ -850,6 +850,7 @@ class TestHistoryIntegration:
         assert classify("ok", True) == "contract"
         assert classify("reexecutions", 0) == "exact"
         assert classify("recovered_leases", 3) == "info"
+        assert classify("worker_kill.recovered_leases", 1) == "info"
         assert classify("killed_run.steals", 10) == "info"
         assert classify("killed_run.killed_after_jobs", 1) == "info"
         assert classify("worker_kill.killed_worker_pid", 77) == "info"
