@@ -43,9 +43,10 @@ help:
 	@echo "                     (exits nonzero on regression)"
 	@echo "make profile       - cProfile one figure cell on the batch"
 	@echo "                     engine (top-20 by cumtime/tottime)"
-	@echo "make perf-smoke    - cold fig5 cell through the batch engine,"
-	@echo "                     gated vs benchmarks/baselines/ (fails on"
-	@echo "                     >50% slowdown or any makespan change)"
+	@echo "make perf-smoke    - cold fig5 cell, working tree vs the base"
+	@echo "                     git ref on this host (ABBA subprocess"
+	@echo "                     rounds; fails if the median time ratio"
+	@echo "                     exceeds 1.2)"
 	@echo "make clean         - remove caches and generated artifacts"
 
 # Full tier-1 suite (what CI gates on).
@@ -139,12 +140,14 @@ trace:
 profile:
 	$(PY) -m repro.bench.profile --top 20
 
-# CI perf smoke: one cold fig5 cell through the batch engine, checked
-# against the committed baseline. Makespans are deterministic (any
-# change fails); wall time gets a generous +50% noise allowance.
+# CI perf smoke: one cold fig5 cell (hashmap/lrp, quick) timed for the
+# working tree and for the base ref on this host, in interleaved ABBA
+# rounds of fresh subprocesses; fails when the median time ratio
+# exceeds 1.2. The base is HEAD when src/ has uncommitted changes,
+# HEAD~1 otherwise. Makespans are pinned exactly by the tier-1 tests.
+# It bounds one change, not drift summed over many changes.
 perf-smoke:
-	$(PY) -m repro.bench.profile --top 0 \
-		--check-against benchmarks/baselines/BENCH_profile.json
+	$(PY) -m repro.bench.profile --against
 
 # Cross-run benchmark regression dashboard: refresh the runner
 # snapshot (heartbeats on, so a watcher — or the dashboard's live

@@ -27,6 +27,7 @@ itself has lost its teeth.
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 from typing import Dict, List, Optional
 
@@ -127,9 +128,12 @@ class CampaignResult:
             "coverage_features": len(self.coverage),
             "corpus_size": len(self.corpus),
             "candidates": len(self.candidates),
+            # Repro paths relative to out_dir: the same campaign
+            # written to two directories reports identically.
             "counterexamples": [
-                {key: value for key, value in ce.items()
-                 if key != "mutation"}
+                {key: (os.path.relpath(value, self.config.out_dir)
+                       if key == "repro_path" else value)
+                 for key, value in ce.items() if key != "mutation"}
                 for ce in self.counterexamples
             ],
             "clean": self.clean,
@@ -328,8 +332,6 @@ def _confirm(config: CampaignConfig, run, shrunk: ShrunkCounterexample,
 
 def _write_repro(config: CampaignConfig,
                  ce: Dict[str, object]) -> str:
-    import os
-
     mutation: ScheduleMutation = ce["mutation"]
     repro = ReproFile(
         workload=dataclasses.asdict(config.spec()),

@@ -24,9 +24,9 @@ Subcommands:
   and report first divergence, per-site deltas, and persists
   avoided-vs-moved;
 * ``fastsmoke`` — gate the batched engine's telemetry: one paper-scale
-  cell plain vs observed (interleaved min-of-N wall times), makespan
+  cell plain vs observed (ABBA rounds, median ratio and IQR), makespan
   identity, exact fast-vs-reference reconciliation across the full
-  mechanism matrix, overhead bounded by ``--overhead-limit``; writes
+  mechanism matrix, overhead bounded by ``OVERHEAD_LIMIT_PCT``; writes
   ``BENCH_obsfast.json``;
 * ``slo`` — run the KV-service workload with request-span tracking and
   print the service report: throughput, exact p50/p99/p999 request and
@@ -59,10 +59,14 @@ import json
 import os
 import sys
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+import time
+from typing import Callable, List, Optional, Sequence, Set, Tuple, \
+    Union
 
+from repro.bench.perf import ABBAResult, abba, engine
 from repro.common.params import MachineConfig, NVMMode
-from repro.core.simulator import SimulationResult, simulate
+from repro.core.simulator import SimulationResult, clear_setup_cache, \
+    simulate
 from repro.obs import (
     Observer,
     TimelineSampler,
@@ -92,6 +96,10 @@ FULL_MECHANISMS = ("nop", "sb", "bb", "arp", "dpo", "hops", "lrp")
 
 #: Window width (cycles) used when the user does not pass --interval.
 DEFAULT_TIMELINE_INTERVAL = 1000
+
+#: Ceiling on the median telemetry overhead (percent) that fastsmoke
+#: and kvsmoke accept.
+OVERHEAD_LIMIT_PCT = 15.0
 
 
 def _ensure_parent(path: str) -> None:
@@ -337,63 +345,48 @@ def cmd_diff(args: argparse.Namespace) -> int:
 # Fast-engine telemetry reconciliation
 # ----------------------------------------------------------------------
 
-def _engine_run(spec: WorkloadSpec, mechanism: str, config: MachineConfig,
-                *, fast: bool, timeline_interval: Optional[int] = None,
-                observe: bool = True) -> Tuple[SimulationResult,
-                                               Optional[Observer]]:
-    """One cell with the engine pinned via REPRO_FASTSIM (restored after).
+def _engines_agree(spec: Union[WorkloadSpec, KVServiceSpec],
+                   config: MachineConfig, mechanisms: Sequence[str],
+                   observer: Callable[[], Observer],
+                   export: Callable[[Observer], object], label: str,
+                   verbose: bool) -> bool:
+    """Reference loop vs batch engine, each with ``observer()`` attached.
 
-    The workload setup cache is cleared on both sides of the run: cached
-    machines were built for one engine's fast-path closures and must not
-    leak across the pin.
+    Per mechanism the makespans and ``export(observer)`` must match
+    exactly, and the fast run must actually have taken the fast path
+    (``fastsim_fallback is None``).
     """
-    from repro.core.simulator import clear_setup_cache
-
-    previous = os.environ.get("REPRO_FASTSIM")
-    os.environ["REPRO_FASTSIM"] = "1" if fast else "0"
-    try:
-        clear_setup_cache()
-        observer = (Observer(timeline_interval=timeline_interval)
-                    if observe else None)
-        result = simulate(spec, mechanism, config, observer=observer)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FASTSIM", None)
-        else:
-            os.environ["REPRO_FASTSIM"] = previous
-        clear_setup_cache()
-    return result, observer
+    ok = True
+    for mechanism in mechanisms:
+        runs = []
+        for fast in (False, True):
+            attached = observer()
+            with engine(fast):
+                result = simulate(spec, mechanism, config,
+                                  observer=attached)
+            runs.append((result, export(attached)))
+        (ref, ref_out), (fst, fst_out) = runs
+        identical = ref_out == fst_out
+        ok = ok and (ref.makespan == fst.makespan
+                     and fst.fastsim_fallback is None and identical)
+        if verbose:
+            print(f"[obs-selftest] {label} {mechanism:4s}  "
+                  f"makespan={fst.makespan}  "
+                  f"engine_used={fst.fastsim_fallback is None}  "
+                  f"identical={identical}")
+    return ok
 
 
 def fast_telemetry_reconciles(spec: WorkloadSpec, config: MachineConfig,
                               timeline_interval: int,
                               mechanisms: Sequence[str] = FULL_MECHANISMS,
                               verbose: bool = False) -> bool:
-    """Exact fast-vs-reference telemetry check across ``mechanisms``.
-
-    For each mechanism the same cell runs once through the reference
-    per-op loop and once through the batched engine, both with a
-    metrics+timeline Observer attached; the makespans and the *entire*
-    observer exports must match exactly, and the fast run must actually
-    have taken the fast path (``fastsim_fallback is None``).
-    """
-    ok = True
-    for mechanism in mechanisms:
-        ref, ref_obs = _engine_run(spec, mechanism, config, fast=False,
-                                   timeline_interval=timeline_interval)
-        fst, fst_obs = _engine_run(spec, mechanism, config, fast=True,
-                                   timeline_interval=timeline_interval)
-        cell_ok = (ref.makespan == fst.makespan
-                   and fst.fastsim_fallback is None
-                   and ref_obs.export() == fst_obs.export())
-        ok = ok and cell_ok
-        if verbose:
-            print(f"[obs-selftest] fast  {mechanism:4s}  "
-                  f"makespan={fst.makespan}  "
-                  f"engine_used={fst.fastsim_fallback is None}  "
-                  f"export_identical="
-                  f"{ref_obs.export() == fst_obs.export()}")
-    return ok
+    """Exact fast-vs-reference metrics+timeline check: the *entire*
+    observer exports must match across ``mechanisms``."""
+    return _engines_agree(
+        spec, config, mechanisms,
+        lambda: Observer(timeline_interval=timeline_interval),
+        Observer.export, "fast ", verbose)
 
 
 # ----------------------------------------------------------------------
@@ -554,15 +547,7 @@ def run_selftest(verbose: bool = True) -> bool:
         records = slo.build_records(
             kv_spec, observed.config, observer.spans,
             persist_log=observed.nvm.persist_log())
-        exact = True
-        for values in ([r.latency for r in records],
-                       [r.durable_latency for r in records]):
-            reservoir = slo.LatencyReservoir()
-            for value in values:
-                reservoir.observe(value)
-            exact = exact and all(
-                reservoir.quantile(q) == slo.exact_quantile(values, q)
-                for _name, q in slo.SLO_QUANTILES)
+        exact = _quantiles_exact(records)
         cell_ok = identical and engaged and counted and exact
         kv_ok = kv_ok and cell_ok
         if verbose:
@@ -583,21 +568,81 @@ def run_selftest(verbose: bool = True) -> bool:
 # Fast-telemetry smoke benchmark
 # ----------------------------------------------------------------------
 
+def _time_overhead(spec: Union[WorkloadSpec, KVServiceSpec],
+                   mechanism: str, config: MachineConfig,
+                   observer: Callable[[], Observer], rounds: int
+                   ) -> Tuple[ABBAResult, Set[int], bool]:
+    """Cold cells on the batch engine, plain (A) vs ``observer()`` (B).
+
+    Returns the :func:`repro.bench.perf.abba` timing, the set of
+    makespans seen and whether every run took the fast path. A cell is
+    setup plus simulation, the cell the perf gates time; only the
+    cache reset before it stays outside the clock.
+    """
+    makespans: Set[int] = set()
+    fast_path_used = True
+
+    def timed_cell(observe: bool) -> float:
+        nonlocal fast_path_used
+        clear_setup_cache()
+        start = time.perf_counter()
+        result = simulate(spec, mechanism, config,
+                          observer=observer() if observe else None)
+        elapsed = time.perf_counter() - start
+        makespans.add(result.makespan)
+        fast_path_used &= result.fastsim_fallback is None
+        return elapsed
+
+    with engine(True):
+        timing = abba(lambda: timed_cell(False), lambda: timed_cell(True),
+                      rounds)
+    return timing, makespans, fast_path_used
+
+
+def _gate_smoke(tag: str, bench_out: str, snapshot: dict,
+                timing: ABBAResult, failures: dict) -> int:
+    """Add the overhead figures to ``snapshot``, write it and gate it.
+
+    ``failures`` maps each failure message to whether it happened; the
+    overhead ceiling is added here. Returns the exit status.
+    """
+    overhead_pct = 100.0 * (timing.ratio - 1.0)
+    snapshot.update({
+        "seconds_plain": round(timing.best_a, 4),
+        "seconds_obs": round(timing.best_b, 4),
+        "telemetry_overhead_pct": round(overhead_pct, 2),
+        "telemetry_overhead_iqr_pct": round(100.0 * timing.iqr, 2),
+    })
+    _ensure_parent(bench_out)
+    with open(bench_out, "w") as handle:
+        json.dump(snapshot, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"[{tag}] plain {timing.best_a:.3f}s  observed "
+          f"{timing.best_b:.3f}s  overhead +{overhead_pct:.1f}% (IQR "
+          f"{100.0 * timing.iqr:.1f}, limit {OVERHEAD_LIMIT_PCT:.0f}%)")
+    print(f"[{tag}] wrote {bench_out}")
+    ceiling = (f"overhead {overhead_pct:.1f}% exceeds "
+               f"{OVERHEAD_LIMIT_PCT:.0f}%")
+    failures[ceiling] = overhead_pct > OVERHEAD_LIMIT_PCT
+    failed = [message for message, hit in failures.items() if hit]
+    for message in failed:
+        print(f"[{tag}] FAILED: {message}", file=sys.stderr)
+    if not failed:
+        print(f"[{tag}] PASSED")
+    return 1 if failed else 0
+
+
 def cmd_fastsmoke(args: argparse.Namespace) -> int:
     """Gate the batched engine's telemetry overhead and correctness.
 
     One paper-scale figure cell (hashmap/lrp by default) runs through
     the batched engine plain and with a metrics+timeline Observer
-    attached, in ABBA rounds whose per-round ratios are summarized by
-    their median (see the inline comment on why min-of-N is the wrong
-    estimator on a shared box). Alongside the wall numbers the run
-    checks the invariants the overhead figure is meaningless without:
-    every makespan identical (telemetry must not perturb simulation),
-    the fast path actually taken, and the small-matrix exact
-    reconciliation against the reference Observer.
+    attached (:func:`_time_overhead`). Alongside the wall numbers the
+    run checks the invariants the overhead figure is meaningless
+    without: every makespan identical (telemetry must not perturb
+    simulation), the fast path actually taken, and the small-matrix
+    exact reconciliation against the reference Observer.
     """
-    import time
-
     from repro.bench.configs import SCALED_CONFIG, bench_config, \
         figure_spec
 
@@ -610,57 +655,9 @@ def cmd_fastsmoke(args: argparse.Namespace) -> int:
           f"--scale {args.scale}: {spec.num_threads} threads x "
           f"{spec.ops_per_thread} ops, median of {args.rounds} "
           f"ABBA rounds")
-    # Cold cells (setup + simulation, the same cell definition the
-    # profile/perf-smoke gates time). Ambient load on a shared box
-    # drifts on a minutes timescale — far more than the overhead being
-    # measured — so comparing a min-of-N plain against a min-of-N
-    # observed (whose minima may come from different load eras) is
-    # hopeless. Instead each round times plain/observed/observed/plain
-    # back to back (ABBA: linear drift within the round cancels) and
-    # yields one overhead ratio; the median over rounds is robust to
-    # the odd round that a background task stomped on.
-    from repro.core.simulator import clear_setup_cache
-
-    ratios: List[float] = []
-    best_plain = best_obs = float("inf")
-    makespans = set()
-    fast_path_used = True
-    previous = os.environ.get("REPRO_FASTSIM")
-    os.environ["REPRO_FASTSIM"] = "1"
-
-    def timed_cell(observe: bool) -> float:
-        nonlocal fast_path_used
-        clear_setup_cache()
-        t0 = time.perf_counter()
-        result = simulate(spec, args.mechanism, config,
-                          observer=Observer(timeline_interval=interval)
-                          if observe else None)
-        dt = time.perf_counter() - t0
-        makespans.add(result.makespan)
-        fast_path_used &= result.fastsim_fallback is None
-        return dt
-
-    try:
-        for _ in range(args.rounds):
-            a1 = timed_cell(False)
-            b1 = timed_cell(True)
-            b2 = timed_cell(True)
-            a2 = timed_cell(False)
-            ratios.append((b1 + b2) / (a1 + a2))
-            best_plain = min(best_plain, a1, a2)
-            best_obs = min(best_obs, b1, b2)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FASTSIM", None)
-        else:
-            os.environ["REPRO_FASTSIM"] = previous
-        clear_setup_cache()
-
-    ratios.sort()
-    mid = len(ratios) // 2
-    median_ratio = (ratios[mid] if len(ratios) % 2
-                    else (ratios[mid - 1] + ratios[mid]) / 2)
-    overhead_pct = 100.0 * (median_ratio - 1.0)
+    timing, makespans, fast_path_used = _time_overhead(
+        spec, args.mechanism, config,
+        lambda: Observer(timeline_interval=interval), args.rounds)
     makespan_identical = len(makespans) == 1
 
     small_spec = WorkloadSpec(structure="hashmap", num_threads=4,
@@ -675,39 +672,18 @@ def cmd_fastsmoke(args: argparse.Namespace) -> int:
         "suite.rounds": args.rounds,
         "suite.timeline_interval": interval,
         "makespan": makespans.pop() if makespan_identical else -1,
-        "seconds_plain": round(best_plain, 4),
-        "seconds_obs": round(best_obs, 4),
-        "telemetry_overhead_pct": round(overhead_pct, 2),
         "makespan_identical": makespan_identical,
         "reconciled": reconciled,
         "fast_path_used": fast_path_used,
     }
-    _ensure_parent(args.bench_out)
-    with open(args.bench_out, "w") as handle:
-        json.dump(snapshot, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-    print(f"[obsfast] plain {best_plain:.3f}s  observed {best_obs:.3f}s"
-          f"  overhead +{overhead_pct:.1f}% "
-          f"(limit {args.overhead_limit:.0f}%)")
     print(f"[obsfast] makespan_identical={makespan_identical}  "
           f"fast_path_used={fast_path_used}  reconciled={reconciled}")
-    print(f"[obsfast] wrote {args.bench_out}")
-    failures = []
-    if not makespan_identical:
-        failures.append("telemetry perturbed the makespan")
-    if not fast_path_used:
-        failures.append("batched engine fell back to the reference loop")
-    if not reconciled:
-        failures.append("fast-vs-reference telemetry mismatch")
-    if overhead_pct > args.overhead_limit:
-        failures.append(f"telemetry overhead {overhead_pct:.1f}% exceeds "
-                        f"{args.overhead_limit:.0f}%")
-    for failure in failures:
-        print(f"[obsfast] FAILED: {failure}", file=sys.stderr)
-    if not failures:
-        print("[obsfast] PASSED")
-    return 1 if failures else 0
+    return _gate_smoke("obsfast", args.bench_out, snapshot, timing, {
+        "telemetry perturbed the makespan": not makespan_identical,
+        "batched engine fell back to the reference loop":
+            not fast_path_used,
+        "fast-vs-reference telemetry mismatch": not reconciled,
+    })
 
 
 # ----------------------------------------------------------------------
@@ -834,56 +810,38 @@ def cmd_slo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _quantiles_exact(records: Sequence[slo.RequestRecord]) -> bool:
+    """Streaming-reservoir p50/p99/p999 equal the exact nearest-rank
+    quantiles of the stored records (request and durable latency)."""
+    for values in ([r.latency for r in records],
+                   [r.durable_latency for r in records]):
+        reservoir = slo.LatencyReservoir()
+        for value in values:
+            reservoir.observe(value)
+        if any(reservoir.quantile(q) != slo.exact_quantile(values, q)
+               for _name, q in slo.SLO_QUANTILES):
+            return False
+    return True
+
+
 def kv_engines_agree(spec: KVServiceSpec, config: MachineConfig,
                      mechanisms: Sequence[str] = KV_MECHANISMS,
                      verbose: bool = False) -> bool:
-    """Reference-vs-fast span equality across ``mechanisms``.
-
-    Both engines must produce identical makespans AND identical span
-    lanes (boundary clocks and event marks), with the fast run actually
-    on the fast path — the span hook must not silently push runs back
-    to the reference loop.
-    """
-    from repro.core.simulator import clear_setup_cache
-
-    ok = True
-    previous = os.environ.get("REPRO_FASTSIM")
-    try:
-        for mechanism in mechanisms:
-            os.environ["REPRO_FASTSIM"] = "0"
-            clear_setup_cache()
-            ref_obs = Observer(spans=True)
-            ref = simulate(spec, mechanism, config, observer=ref_obs)
-            os.environ["REPRO_FASTSIM"] = "1"
-            clear_setup_cache()
-            fst_obs = Observer(spans=True)
-            fst = simulate(spec, mechanism, config, observer=fst_obs)
-            cell_ok = (ref.makespan == fst.makespan
-                       and fst.fastsim_fallback is None
-                       and ref_obs.spans.to_dict() == fst_obs.spans.to_dict())
-            ok = ok and cell_ok
-            if verbose:
-                print(f"[obs-selftest] kv-eng {mechanism:4s}  "
-                      f"makespan={fst.makespan}  "
-                      f"engine_used={fst.fastsim_fallback is None}  "
-                      f"spans_identical="
-                      f"{ref_obs.spans.to_dict() == fst_obs.spans.to_dict()}")
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FASTSIM", None)
-        else:
-            os.environ["REPRO_FASTSIM"] = previous
-        clear_setup_cache()
-    return ok
+    """Reference-vs-fast span equality across ``mechanisms``: identical
+    span lanes (boundary clocks and event marks), so the span hook
+    never silently pushes runs back to the reference loop."""
+    return _engines_agree(spec, config, mechanisms,
+                          lambda: Observer(spans=True),
+                          lambda observer: observer.spans.to_dict(),
+                          "kv-eng", verbose)
 
 
 def cmd_kvsmoke(args: argparse.Namespace) -> int:
     """Gate the KV-service span tracking: overhead, identity, exactness.
 
-    The same ABBA discipline as ``fastsmoke`` (see the comment there on
-    why back-to-back rounds beat min-of-N on a shared box), but the
-    observed side attaches a spans-only Observer — the per-request hook
-    this PR adds to both execution loops. Alongside the overhead
+    The same overhead timing as ``fastsmoke`` (:func:`_time_overhead`),
+    but the observed side attaches a spans-only Observer, the
+    per-request hook of both execution loops. Alongside the overhead
     number, the gates the figure is meaningless without: every makespan
     identical (span tracking must not perturb the simulation), the
     batch engine actually engaged, streaming percentiles exactly equal
@@ -891,57 +849,15 @@ def cmd_kvsmoke(args: argparse.Namespace) -> int:
     identical. The snapshot also carries the lrp/bb/sb SLO payloads so
     the history dashboard gates service latency/throughput/RTO drift.
     """
-    import time
-
-    from repro.core.simulator import clear_setup_cache
-
     spec = _kv_spec_from_args(args)
     config = _config_from_args(args)
 
     print(f"[kvsmoke] {spec.structure}/kv: {spec.num_threads} clients "
           f"x {spec.requests_per_thread} requests, median of "
           f"{args.rounds} ABBA rounds")
-
-    makespans = set()
-    fast_path_used = True
-    previous = os.environ.get("REPRO_FASTSIM")
-    os.environ["REPRO_FASTSIM"] = "1"
-
-    def timed_cell(observe: bool) -> float:
-        nonlocal fast_path_used
-        clear_setup_cache()
-        t0 = time.perf_counter()
-        result = simulate(spec, args.mechanism, config,
-                          observer=Observer(spans=True)
-                          if observe else None)
-        dt = time.perf_counter() - t0
-        makespans.add(result.makespan)
-        fast_path_used &= result.fastsim_fallback is None
-        return dt
-
-    ratios: List[float] = []
-    best_plain = best_obs = float("inf")
-    try:
-        for _ in range(args.rounds):
-            a1 = timed_cell(False)
-            b1 = timed_cell(True)
-            b2 = timed_cell(True)
-            a2 = timed_cell(False)
-            ratios.append((b1 + b2) / (a1 + a2))
-            best_plain = min(best_plain, a1, a2)
-            best_obs = min(best_obs, b1, b2)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FASTSIM", None)
-        else:
-            os.environ["REPRO_FASTSIM"] = previous
-        clear_setup_cache()
-
-    ratios.sort()
-    mid = len(ratios) // 2
-    median_ratio = (ratios[mid] if len(ratios) % 2
-                    else (ratios[mid - 1] + ratios[mid]) / 2)
-    overhead_pct = 100.0 * (median_ratio - 1.0)
+    timing, makespans, fast_path_used = _time_overhead(
+        spec, args.mechanism, config, lambda: Observer(spans=True),
+        args.rounds)
     makespan_identical = len(makespans) == 1
 
     # The service-comparison payloads (and the streaming-vs-exact
@@ -953,14 +869,7 @@ def cmd_kvsmoke(args: argparse.Namespace) -> int:
             spec, mechanism, config,
             crash_points=args.crash_points, crash_seed=args.seed)
         payloads[mechanism] = payload
-        for values in ([r.latency for r in records],
-                       [r.durable_latency for r in records]):
-            reservoir = slo.LatencyReservoir()
-            for value in values:
-                reservoir.observe(value)
-            quantiles_exact &= all(
-                reservoir.quantile(q) == slo.exact_quantile(values, q)
-                for _name, q in slo.SLO_QUANTILES)
+        quantiles_exact &= _quantiles_exact(records)
 
     small = KVServiceSpec(structure="hashmap", num_threads=4,
                           initial_size=64, requests_per_thread=12,
@@ -972,48 +881,26 @@ def cmd_kvsmoke(args: argparse.Namespace) -> int:
         "suite.threads": spec.num_threads,
         "suite.requests": spec.total_requests,
         "suite.rounds": args.rounds,
-        "seconds_plain": round(best_plain, 4),
-        "seconds_obs": round(best_obs, 4),
-        "telemetry_overhead_pct": round(overhead_pct, 2),
         "makespan_identical": makespan_identical,
         "fast_path_used": fast_path_used,
         "quantiles_exact": quantiles_exact,
         "engines_agree": engines_agree,
         "kv": payloads,
     }
-    _ensure_parent(args.bench_out)
-    with open(args.bench_out, "w") as handle:
-        json.dump(snapshot, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-    print(f"[kvsmoke] plain {best_plain:.3f}s  observed {best_obs:.3f}s"
-          f"  overhead +{overhead_pct:.1f}% "
-          f"(limit {args.overhead_limit:.0f}%)")
     print(f"[kvsmoke] makespan_identical={makespan_identical}  "
           f"fast_path_used={fast_path_used}  "
           f"quantiles_exact={quantiles_exact}  "
           f"engines_agree={engines_agree}")
     for line in _render_kv_rows(payloads):
         print(f"[kvsmoke] {line}")
-    print(f"[kvsmoke] wrote {args.bench_out}")
-    failures = []
-    if not makespan_identical:
-        failures.append("span tracking perturbed the makespan")
-    if not fast_path_used:
-        failures.append("batched engine fell back to the reference loop")
-    if not quantiles_exact:
-        failures.append("streaming percentiles diverge from the "
-                        "stored-record percentiles")
-    if not engines_agree:
-        failures.append("reference-vs-fast span lanes differ")
-    if overhead_pct > args.overhead_limit:
-        failures.append(f"span-tracking overhead {overhead_pct:.1f}% "
-                        f"exceeds {args.overhead_limit:.0f}%")
-    for failure in failures:
-        print(f"[kvsmoke] FAILED: {failure}", file=sys.stderr)
-    if not failures:
-        print("[kvsmoke] PASSED")
-    return 1 if failures else 0
+    return _gate_smoke("kvsmoke", args.bench_out, snapshot, timing, {
+        "span tracking perturbed the makespan": not makespan_identical,
+        "batched engine fell back to the reference loop":
+            not fast_path_used,
+        "streaming percentiles diverge from the stored-record "
+        "percentiles": not quantiles_exact,
+        "reference-vs-fast span lanes differ": not engines_agree,
+    })
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1130,9 +1017,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--interval", type=int, default=DEFAULT_TIMELINE_INTERVAL,
         help="timeline window width in cycles (default: %(default)s)")
     fastsmoke_parser.add_argument(
-        "--overhead-limit", type=float, default=15.0,
-        help="max telemetry overhead percent (default: %(default)s)")
-    fastsmoke_parser.add_argument(
         "--bench-out", metavar="FILE", default="BENCH_obsfast.json",
         help="snapshot destination (default: %(default)s)")
 
@@ -1205,10 +1089,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     kvsmoke_parser.add_argument(
         "--crash-points", type=int, default=8,
         help="crash prefixes per mechanism for the RTO payload "
-             "(default: %(default)s)")
-    kvsmoke_parser.add_argument(
-        "--overhead-limit", type=float, default=15.0,
-        help="max span-tracking overhead percent "
              "(default: %(default)s)")
     kvsmoke_parser.add_argument(
         "--bench-out", metavar="FILE", default="BENCH_kv.json",

@@ -124,3 +124,24 @@ def test_figures_module_entry_point_has_no_runpy_warning():
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
 
+
+
+def test_fig5_quick_makespans_match_baseline():
+    """All 20 quick Figure 5 makespans, exactly as committed in
+    ``benchmarks/baselines/BENCH_figures.json`` (simulated cycles are
+    deterministic: any change means the simulation changed)."""
+    import json
+    import pathlib
+
+    from repro.bench.figures import run_figure5
+    from repro.exp.runner import ExperimentRunner
+
+    baseline = pathlib.Path(__file__).resolve().parent.parent / \
+        "benchmarks" / "baselines" / "BENCH_figures.json"
+    expected = json.loads(baseline.read_text())["fig5_makespan"]
+    result = run_figure5(scale="quick", runner=ExperimentRunner(jobs=1))
+    measured = {workload: {mechanism: summary.makespan
+                           for mechanism, summary in row.items()}
+                for workload, row in result.results.items()}
+    assert measured == expected
+    assert sum(len(row) for row in measured.values()) == 20

@@ -315,6 +315,18 @@ class TestReproFile:
         assert loaded.prefix == result.counterexamples[0]["prefix"]
         assert loaded.verdict["kind"] == "structural"
 
+    def test_report_does_not_depend_on_the_repro_dir(self, tmp_path):
+        """Two runs of one campaign into different directories report
+        identically apart from timing; repro paths are relative."""
+        reports = [self._campaign(tmp_path / name).report()
+                   for name in ("first", "second")]
+        for report in reports:
+            del report["seconds"], report["execs_per_sec"]
+        assert reports[0] == reports[1]
+        [name] = {ce["repro_path"] for ce in reports[0]["counterexamples"]}
+        assert name.startswith("ce-arp-")
+        assert (tmp_path / "first" / name).is_file()
+
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"format": "something-else"}))
